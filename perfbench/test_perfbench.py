@@ -86,7 +86,14 @@ def test_serve_plan_is_stratified_and_seeded():
         assert 0 <= offsets[0] and offsets[-1] < 20 / wl.SERVE_RATE
     assert len(cold_seen) == rounds * len(wl.COLD_STRATA)
     assert serve.plan(seed=4, seconds=20) == (hot, plan)
-    assert serve.plan(seed=5, seconds=20)[1] != plan
+    other = serve.plan(seed=5, seconds=20)[1]
+    assert other != plan
+
+    def slots(plan):
+        return [[(g in wl.HOT_GRAPH_SEEDS, m, n, offset)
+                 for (m, n, g), offset in queries] for queries in plan]
+
+    assert slots(other) == slots(plan)
 
 
 def test_sweep_rounds_hold_the_whole_pool():
@@ -192,12 +199,17 @@ def test_metric_table_matches_benchmark_json_and_code():
     with open(os.path.join(HERE, "metrics.json")) as fh:
         table = json.load(fh)
     for section in ("end_to_end", "per_layer"):
-        ours = [(m["name"], m["unit"], m["better"]) for m in table[section]]
+        ours = [(m["name"], m["unit"], m["better"]) for m in table[section]
+                if m.get("gated", True)]
         theirs = [(m["name"], m["unit"], m["better"])
                   for m in bench[section]]
         assert ours == theirs, section
-    assert [w["name"] for w in bench["workloads"]] == list(wl.WORKLOADS)
+    assert [w["name"] for w in bench["workloads"]] == list(wl.GATED)
     assert [w["name"] for w in table["workloads"]] == list(wl.WORKLOADS)
+    assert [w["name"] for w in table["workloads"]
+            if w.get("gated", True)] == list(wl.GATED)
+    assert all("why_not_gated" in w for w in table["workloads"]
+               if not w.get("gated", True))
     assert all("normalised" in m for m in table["end_to_end"])
 
 
