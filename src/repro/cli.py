@@ -763,6 +763,7 @@ def cmd_profile(args) -> int:
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(args.top)
     stage_wall = record.get("stage_wall") or {}
+    cell_ms = record["wall_s"] * 1000
     if stage_wall:
         print("per-stage wall (engine time inside run_stage):")
         total = sum(stage_wall.values())
@@ -770,7 +771,12 @@ def cmd_profile(args) -> int:
                                  key=lambda kv: -kv[1])[:args.top]:
             print(f"  {name:32s} {wall * 1000:9.2f} ms")
         print(f"  {'(stage total)':32s} {total * 1000:9.2f} ms "
-              f"of {record['wall_s'] * 1000:.2f} ms cell wall")
+              f"of {cell_ms:.2f} ms cell wall")
+    # The graphs layer: cumulative profiler time inside family_graph.
+    build_s = sum(ct for (_, _, name), (_, _, _, ct, _)
+                  in stats.stats.items() if name == "family_graph")
+    print(f"  {'(graph build)':32s} {build_s * 1000:9.2f} ms "
+          f"of {cell_ms:.2f} ms cell wall")
     print(f"cell {record['key']}: {record['messages']} msgs, "
           f"{record['rounds']} rounds, {record['wall_s']:.3f}s, "
           f"valid={record['valid']}")

@@ -253,6 +253,16 @@ def _stamp_attempts(rec: dict, attempt: int, now: float,
     return rec
 
 
+def _drain(conn, attempt: int, now: float, t0: float) -> Optional[dict]:
+    """The record already waiting in ``conn``, stamped; else None."""
+    if not conn.poll():
+        return None
+    try:
+        return _stamp_attempts(conn.recv(), attempt, now, t0)
+    except EOFError:
+        return None
+
+
 def _run_cells_with_timeout(
     cells: list[Cell],
     workers: int,
@@ -306,9 +316,13 @@ def _run_cells_with_timeout(
                 record(rec)
                 progressed = True
             elif not proc.is_alive():
+                # One last drain: the cell may have sent its record and
+                # exited in the window between the poll above and this
+                # liveness check.
+                rec = _drain(conn, attempt, now, t0)
                 conn.close()
                 proc.join()
-                record(_failure_record(
+                record(rec if rec is not None else _failure_record(
                     cell, "error", wall_s=now - t0, attempts=attempt + 1,
                     error=f"worker exited with code {proc.exitcode} "
                           "without a result",
@@ -320,12 +334,7 @@ def _run_cells_with_timeout(
                 # deadline check.  Discarding that record would re-queue
                 # a *completed* cell, and the retry's duplicate ok line
                 # for the same key would inflate per-size run counts.
-                rec = None
-                if conn.poll():
-                    try:
-                        rec = _stamp_attempts(conn.recv(), attempt, now, t0)
-                    except EOFError:
-                        rec = None
+                rec = _drain(conn, attempt, now, t0)
                 proc.terminate()
                 proc.join()
                 conn.close()

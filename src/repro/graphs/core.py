@@ -20,7 +20,6 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ReproError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
         canonical: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -28,14 +27,16 @@ class Graph:
             if u == v:
                 raise ReproError(f"self-loop at vertex {u} not allowed")
             canonical.add((u, v) if u < v else (v, u))
-        for u, v in canonical:
-            adj[u].add(v)
-            adj[v].add(u)
         self.n = n
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(neighbors)) for neighbors in adj
-        )
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
+        # Appending in sorted edge order leaves every list sorted: v's
+        # smaller neighbors u arrive in order (as (u, v)) before its
+        # larger ones (as (v, w)).
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self._edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     # -- basic accessors ----------------------------------------------------
 

@@ -15,7 +15,8 @@ exercised on:
 from __future__ import annotations
 
 import random
-from typing import Sequence
+import struct
+from typing import Iterator, Sequence
 
 from repro.errors import ReproError
 from repro.graphs.core import Graph
@@ -84,20 +85,112 @@ def random_regular_graph(n: int, d: int, seed=0, max_tries: int = 60) -> Graph:
     if d >= n:
         raise ReproError("degree must be below n")
     rng = _rng_from(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(max_tries):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
+        edges = _shuffled_stub_pairs(rng, stubs.copy())
+        if edges is not None:
             return Graph(n, edges)
     return _circulant_with_swaps(n, d, rng)
+
+
+# Bulk reads of the Mersenne Twister.  The edge sets built from these
+# draws fix every message count the benchmarks gate, so the readers below
+# must hand out exactly what the stdlib calls they replace would: the same
+# values, with ``rng`` left in the same state.  ``rng.randrange(b)`` and
+# ``rng.shuffle`` both draw through ``_randbelow``: take the top
+# ``b.bit_length()`` bits of the next 32-bit output, retry while >= b.
+# Every caller asks for no more words than it is sure to use (each
+# pending draw takes at least one), so no state ever needs rewinding.
+
+#: Words per ``getrandbits`` call; bounds the readers' memory.
+_CHUNK = 4096
+
+
+def _mt_words(rng: random.Random, limit: int) -> tuple[int, ...]:
+    """The next ``min(limit, _CHUNK)`` 32-bit outputs of ``rng``, in order.
+
+    ``getrandbits(32 * k)`` packs k successive outputs little-endian: the
+    first one drawn is the lowest word.
+    """
+    k = min(limit, _CHUNK)
+    return struct.unpack(
+        f"<{k}I", rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+    )
+
+
+def _randbelow_stream(rng: random.Random, bound: int,
+                      count: int) -> Iterator[int]:
+    """``count`` successive ``rng.randrange(bound)`` values, read in bulk.
+
+    Needs ``bound < 2**32`` (larger bounds take several words per draw).
+    ``rng`` reaches the state those calls leave once the last chunk is
+    drawn; nothing else may draw from it meanwhile.
+    """
+    shift = 32 - bound.bit_length()
+    while count > 0:
+        values = [r for w in _mt_words(rng, count)
+                  if (r := w >> shift) < bound]
+        count -= len(values)
+        yield from values
+
+
+def _shuffled_stub_pairs(rng: random.Random,
+                         stubs: list[int]) -> set[tuple[int, int]] | None:
+    """One configuration-model attempt: ``rng.shuffle(stubs)``, then pair
+    stubs 2t and 2t+1.  Returns the edge set, or None when a pair is a
+    self-loop or repeats an edge.
+
+    Replays the shuffle from bulk words.  Fisher–Yates step i draws
+    ``randbelow(i + 1)`` and fixes slot i for good, so each pair is checked
+    as soon as its two slots are final; after the first bad pair the
+    remaining steps only consume their words (see :func:`_skip_shuffle`).
+    """
+    edges: set[tuple[int, int]] = set()
+    i = len(stubs) - 1
+    shift = 32 - len(stubs).bit_length()
+    while i > 0:
+        words = _mt_words(rng, i)
+        for used, w in enumerate(words, 1):
+            j = w >> shift
+            if j > i:
+                continue
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+            if i % 2 == 0 or i == 1:
+                k = i - i % 2
+                u, v = stubs[k], stubs[k + 1]
+                e = (u, v) if u < v else (v, u)
+                if u == v or e in edges:
+                    _skip_shuffle(rng, words[used:], i - 1)
+                    return None
+                edges.add(e)
+            i -= 1
+            if (i + 1) << shift < 1 << 31:   # the bound i + 1 lost a bit
+                shift += 1
+    return edges
+
+
+def _skip_shuffle(rng: random.Random, words: Sequence[int],
+                  steps: int) -> None:
+    """Consume the words Fisher–Yates steps ``steps .. 1`` draw.
+
+    ``words`` were already drawn for those steps.  Step i keeps a word w
+    iff ``w >> shift <= i``, i.e. ``w < (i + 1) << shift``; that limit
+    stays in [2**31, 2**32) and doubles, with the step, whenever
+    ``i + 1`` loses a bit.
+    """
+    shift = 32 - (steps + 1).bit_length()
+    limit, step = (steps + 1) << shift, 1 << shift
+    while True:
+        for w in words:
+            if w < limit:
+                limit -= step
+                if limit < 1 << 31:
+                    limit <<= 1
+                    step <<= 1
+        steps = limit // step - 1
+        if steps <= 0:
+            return
+        words = _mt_words(rng, steps)
 
 
 def _circulant_with_swaps(n: int, d: int, rng: random.Random) -> Graph:
@@ -114,20 +207,21 @@ def _circulant_with_swaps(n: int, d: int, rng: random.Random) -> Graph:
             edges.add((v, u))
     edge_list = list(edges)
     # Randomize with double edge swaps: {a,b},{c,d} -> {a,c},{b,d}.
-    for _ in range(10 * len(edge_list)):
-        i, j = rng.randrange(len(edge_list)), rng.randrange(len(edge_list))
+    # Ten attempts per edge, each drawing i then j.
+    draws = _randbelow_stream(rng, len(edge_list), 20 * len(edge_list))
+    for i, j in zip(draws, draws):
         if i == j:
             continue
-        a, b = edge_list[i]
-        c, e = edge_list[j]
-        if len({a, b, c, e}) < 4:
+        a, b = old1 = edge_list[i]
+        c, e = old2 = edge_list[j]
+        if a == c or a == e or b == c or b == e:
             continue
-        new1 = (min(a, c), max(a, c))
-        new2 = (min(b, e), max(b, e))
+        new1 = (a, c) if a < c else (c, a)
+        new2 = (b, e) if b < e else (e, b)
         if new1 in edges or new2 in edges:
             continue
-        edges.discard(edge_list[i])
-        edges.discard(edge_list[j])
+        edges.discard(old1)
+        edges.discard(old2)
         edges.add(new1)
         edges.add(new2)
         edge_list[i], edge_list[j] = new1, new2

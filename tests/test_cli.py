@@ -125,6 +125,9 @@ def test_profile_subcommand(capsys):
     assert rc == 0
     assert "cumulative" in out         # pstats table rendered
     assert "msgs" in out and "valid=True" in out
+    build = [line for line in out.splitlines() if "(graph build)" in line]
+    assert len(build) == 1 and "cell wall" in build[0]
+    assert float(build[0].split()[2]) > 0   # family_graph was profiled
 
 
 def test_profile_unknown_method():

@@ -519,6 +519,47 @@ def test_deadline_completion_race_drains_final_record(monkeypatch):
     assert out[0]["attempts"] == 1
 
 
+class _ExitedProc(_FakeProc):
+    """A cell process that has already exited with code 0."""
+
+    def is_alive(self):
+        return False
+
+
+def test_exit_completion_race_drains_final_record(monkeypatch):
+    """Regression: a cell that sent its record and exited between the
+    supervisor's poll and its liveness check was recorded as an error
+    ("exited with code 0 without a result") and its result dropped.  The
+    farm must drain the pipe once more when it finds the process dead."""
+    from repro.experiments import runner
+
+    cell = Cell("gnp", 30, 0, "luby", timeout_s=60.0)
+    # poll: False at the completion check, then the process is dead, then
+    # True at the post-exit drain.
+    conn = _ScriptedConn([False, True], _ok_record(cell))
+    monkeypatch.setattr(runner, "_spawn_cell_process",
+                        lambda c: (_ExitedProc(), conn))
+    out = []
+    runner._run_cells_with_timeout([cell], 1, out.append)
+    assert len(out) == 1
+    assert out[0]["status"] == "ok" and out[0]["messages"] == 123
+    assert out[0]["attempts"] == 1
+
+
+def test_exit_without_result_is_an_error(monkeypatch):
+    """A dead cell process with nothing in its pipe stays an error."""
+    from repro.experiments import runner
+
+    cell = Cell("gnp", 30, 0, "luby", timeout_s=60.0)
+    monkeypatch.setattr(runner, "_spawn_cell_process",
+                        lambda c: (_ExitedProc(), _ScriptedConn([False])))
+    out = []
+    runner._run_cells_with_timeout([cell], 1, out.append)
+    assert len(out) == 1
+    assert out[0]["status"] == "error"
+    assert "without a result" in out[0]["error"]
+
+
 def test_retry_success_stamps_attempts(monkeypatch):
     """Regression: only non-ok farm records carried ``attempts``; a cell
     that succeeded on its second attempt was indistinguishable from a

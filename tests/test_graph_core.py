@@ -139,3 +139,19 @@ def test_neighbors_symmetric(n, data):
     for u in range(n):
         for v in g.neighbors(u):
             assert u in g.neighbors(v)
+
+
+@given(st.integers(1, 25), st.data())
+@settings(max_examples=40, deadline=None)
+def test_adjacency_is_sorted_neighbor_sets(n, data):
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=3 * n,
+    ))
+    edges = [(u, v) for u, v in pairs if u != v]
+    g = Graph(n, edges)
+    for v in range(n):
+        expected = {b for a, b in edges if a == v} | {a for a, b in edges
+                                                       if b == v}
+        assert g.neighbors(v) == tuple(sorted(expected))
+    assert g.edges() == tuple(sorted({(min(e), max(e)) for e in edges}))
